@@ -447,29 +447,23 @@ _SWEEP_SYMBOLS = ("D", "C", "A", "O", "~")
 _SWEEP_OPS = {"D": NonCon, "C": Con, "A": Acc, "O": Ess, "~": Not}
 
 
-class _ChainCache:
-    """Prefix chains over one atom, maximally shared across instances."""
-
-    def __init__(self, atom: Atom) -> None:
-        self._cache: dict[str, Formula] = {"": atom}
-
-    def chain(self, word: str) -> Formula:
-        cached = self._cache.get(word)
-        if cached is None:
-            cached = self._cache[word] = _SWEEP_OPS[word[0]](self.chain(word[1:]))
-        return cached
+def _chain(word: str) -> Formula:
+    """The prefix chain ``word`` over ``p``; interning shares common tails."""
+    f: Formula = Atom("p")
+    for symbol in reversed(word):
+        f = _SWEEP_OPS[symbol](f)
+    return f
 
 
 def _sweep_instances(max_prefix: int, max_worlds: int) -> list[tuple[str, Formula]]:
-    chains = _ChainCache(Atom("p"))
-    delta_p = chains.chain("D")
+    delta_p = _chain("D")
     suffix = f"[transitive, <= {max_worlds} worlds] (evidence at bound)"
 
     instances: list[tuple[str, Formula]] = []
     anchor = parse("D p -> D D p & D O p & O D p & O O p")
     instances.append((f"anchor: {render(anchor)} {suffix}", anchor))
 
-    smoke = Implies(delta_p, chains.chain("D"))
+    smoke = Implies(delta_p, _chain("D"))
     instances.append(
         (f"conjecture 1 smoke (n,m,l,k)=(0,1,0,0): {render(smoke)} {suffix}", smoke)
     )
@@ -486,13 +480,13 @@ def _sweep_instances(max_prefix: int, max_worlds: int) -> list[tuple[str, Formul
         key=lambda t: (sum(t), t),
     )
     for n, m, l, k in tuples:
-        f = Implies(delta_p, chains.chain("O" * n + "D" * m + "O" * l + "D" * k))
+        f = Implies(delta_p, _chain("O" * n + "D" * m + "O" * l + "D" * k))
         instances.append(
             (f"conjecture 1 (n,m,l,k)=({n},{m},{l},{k}): {render(f)} {suffix}", f)
         )
 
     for m in range(1, max_prefix + 1):
-        f = Implies(delta_p, chains.chain("D" * m))
+        f = Implies(delta_p, _chain("D" * m))
         instances.append(
             (f"conjecture 2 m={m} heart=(empty): {render(f)} {suffix}", f)
         )
@@ -500,7 +494,7 @@ def _sweep_instances(max_prefix: int, max_worlds: int) -> list[tuple[str, Formul
         for length in range(1, max_prefix + 1):
             for symbols in product(_SWEEP_SYMBOLS, repeat=length):
                 heart = "".join(symbols)
-                f = Implies(delta_p, chains.chain("D" * m + heart))
+                f = Implies(delta_p, _chain("D" * m + heart))
                 instances.append(
                     (f"conjecture 2 m={m} heart={heart}: {render(f)} {suffix}", f)
                 )
@@ -525,9 +519,9 @@ def conjecture_sweep(max_worlds: int = 4, max_prefix: int = 4) -> list[Report]:
         raise ValueError("bounds must be at least 1")
     instances = _sweep_instances(max_prefix, max_worlds)
     sizes = [metrics(f)["size"] for _, f in instances]
-    # Every instance is an implication; checking the halves separately lets
-    # the per-frame evaluator reuse the shared chain objects across all of
-    # them instead of re-walking one big tree per instance.
+    # Every instance is an implication; the per-frame evaluator computes
+    # each half's columns once, since the antecedent and the chain tails are
+    # the same interned nodes across all instances.
     split = [(f.left, f.right) for _, f in instances if isinstance(f, Implies)]
     if len(split) != len(instances):
         raise AssertionError("sweep instances must be implications")

@@ -426,7 +426,9 @@ class ColumnEvaluator:
     each world the evaluator produces one integer whose bit ``v`` is the
     formula's truth under valuation ``v`` — the whole truth table of the
     frame in ``n`` integers.  Results are memoized per (subformula, live
-    world set), so batches of formulas sharing subterms evaluate cheaply.
+    world set).  Formulas are interned, so a memo lookup costs O(1) whatever
+    the formula's size, and batches of formulas sharing subterms evaluate
+    each shared node once.
     """
 
     def __init__(self, frame: Frame, atom_order: Sequence[str]) -> None:
@@ -441,24 +443,14 @@ class ColumnEvaluator:
         }
         self._alive_all = (1 << n) - 1
         self._memo: dict[tuple[Formula, int], tuple[int, ...]] = {}
-        # Identity fast path over the structural memo: repeat queries on the
-        # same node skip the O(tree) hash/eq walk.  Pinning keeps queried
-        # nodes alive so a recycled id can never alias a dead formula.
-        self._ids: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._pinned: dict[int, Formula] = {}
 
     def columns(self, f: Formula, alive: int | None = None) -> tuple[int, ...]:
         if alive is None:
             alive = self._alive_all
-        fast = self._ids.get((id(f), alive))
-        if fast is not None:
-            return fast
         key = (f, alive)
         cached = self._memo.get(key)
         if cached is None:
             cached = self._memo[key] = self._compute(f, alive)
-        self._ids[(id(f), alive)] = cached
-        self._pinned[id(f)] = f
         return cached
 
     def _compute(self, f: Formula, alive: int) -> tuple[int, ...]:
@@ -562,28 +554,24 @@ class ColumnEvaluator:
 
 
 class ExtensionEvaluator:
-    """Memoized satisfying world sets (as bitmasks) over one model."""
+    """Satisfying world sets (as bitmasks) over one model.
+
+    The single-valuation counterpart of :class:`ColumnEvaluator`, memoized
+    the same way per (subformula, live world set).
+    """
 
     def __init__(self, model: Model) -> None:
         self.model = model
         self._alive_all = (1 << model.frame.n) - 1
         self._memo: dict[tuple[Formula, int], int] = {}
-        # Same identity fast path as ColumnEvaluator (see there).
-        self._ids: dict[tuple[int, int], int] = {}
-        self._pinned: dict[int, Formula] = {}
 
     def extension(self, f: Formula, alive: int | None = None) -> int:
         if alive is None:
             alive = self._alive_all
-        fast = self._ids.get((id(f), alive))
-        if fast is not None:
-            return fast
         key = (f, alive)
         cached = self._memo.get(key)
         if cached is None:
             cached = self._memo[key] = self._compute(f, alive)
-        self._ids[(id(f), alive)] = cached
-        self._pinned[id(f)] = f
         return cached
 
     def holds(self, f: Formula, world: str) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from bimodal.kripke import FrameClass
+from bimodal.kripke import FrameClass, _atom_column
 from bimodal.syntax import (
     Acc,
     And,
@@ -229,7 +229,7 @@ def taut_check(f: Formula) -> bool:
             f"tautology abstraction needs {len(table)} letters; the cap is {_TAUT_CAP}"
         )
     rows = 1 << len(table)
-    columns = {g: _table_column(i, rows) for i, (g, _) in enumerate(table.items())}
+    columns = {g: _atom_column(i, rows) for i, (g, _) in enumerate(table.items())}
     return _boolean_column(core, columns, (1 << rows) - 1) == (1 << rows) - 1
 
 
@@ -244,12 +244,6 @@ def _collect_letters(f: Formula, table: dict[Formula, int]) -> None:
             _collect_letters(right, table)
         case _:
             table.setdefault(f, len(table))
-
-
-def _table_column(position: int, rows: int) -> int:
-    half = 1 << position
-    block = ((1 << half) - 1) << half
-    return block * (((1 << rows) - 1) // ((1 << (2 * half)) - 1))
 
 
 def _boolean_column(f: Formula, columns: Mapping[Formula, int], full: int) -> int:

@@ -24,7 +24,8 @@ right; unary operators bind the smallest formula to their right, so
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+import weakref
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
@@ -61,20 +62,64 @@ __all__ = [
 ]
 
 
-class Formula:
-    """Base class of all formula nodes.  Instances are immutable."""
+class _Interned(type):
+    """Metaclass that hash-conses formula nodes.
 
-    __slots__ = ()
+    Each node class keeps a weak table from field values to the one live
+    node with those values.  The children of a node are themselves interned,
+    so the key hashes and compares in O(1), and constructing a node that
+    already exists returns the existing one.  Structural equality is then
+    identity.  An entry leaves the table when its node is collected.
+    """
+
+    def __init__(cls, name: str, bases: tuple, namespace: dict) -> None:
+        super().__init__(name, bases, namespace)
+        cls._nodes = weakref.WeakValueDictionary()
+        # Identity semantics.  Set on every class, not inherited, so that
+        # per-class instrumentation (perfbench's tracer) can wrap them.
+        cls.__eq__ = object.__eq__
+        cls.__hash__ = object.__hash__
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs:  # keyword construction, e.g. dataclasses.replace
+            node = type.__call__(cls, *args, **kwargs)
+            args = tuple(getattr(node, name) for name in cls.__match_args__)
+            return cls._nodes.setdefault(args, node)
+        node = cls._nodes.get(args)
+        if node is None:
+            node = cls._nodes[args] = type.__call__(cls, *args)
+        return node
+
+
+class Formula(metaclass=_Interned):
+    """Base class of all formula nodes.
+
+    Instances are immutable and interned: two formulas are equal exactly
+    when they are the same object.
+    """
+
+    # ``_core`` is the memo of desugar; not a field, so equality, pickling
+    # and dataclasses.fields ignore it.  ``__weakref__`` lets the intern
+    # tables hold nodes weakly; every node class inherits both slots.
+    __slots__ = ("_core", "__weakref__")
 
     def __repr__(self) -> str:
         return f"parse({render(self)!r})"
+
+    def __reduce__(self) -> tuple:
+        # Rebuild through the constructor, so unpickled and copied formulas
+        # are the interned nodes of the receiving process.
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+_node = dataclass(frozen=True, slots=True, eq=False, repr=False)
 
 
 _ATOM_RE = re.compile(r"[a-z_][A-Za-z0-9_]*\Z")
 _KEYWORDS = frozenset({"true", "false"})
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Atom(Formula):
     name: str
 
@@ -83,86 +128,86 @@ class Atom(Formula):
             raise ValueError(f"bad atom name: {self.name!r}")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Con(Formula):
     """Contingency: some successor satisfies the child, some falsifies it."""
 
     child: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class NonCon(Formula):
     """Non-contingency ``D``; abbreviates ``~C``."""
 
     child: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Acc(Formula):
     """Accident: the child is true here but false at some successor."""
 
     child: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Ess(Formula):
     """Essence ``O``; abbreviates ``~A``."""
 
     child: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Diamond(Formula):
     child: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Box(Formula):
     """Necessity ``[]``; abbreviates ``~<>~``."""
 
     child: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Ann(Formula):
     """Public announcement ``[!announced]body``."""
 
@@ -170,7 +215,7 @@ class Ann(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class AnnWhether(Formula):
     """Announcement-whether ``[?announced]body``; abbreviates the
     conjunction of announcing the formula and announcing its negation."""
@@ -178,29 +223,6 @@ class AnnWhether(Formula):
     announced: Formula
     body: Formula
 
-
-def _install_node_hashes() -> None:
-    # The dataclass-generated __hash__ ignores the node class, so same-shape
-    # trees over different operators (``C p`` vs ``A p``) all collide and
-    # dictionaries keyed by formulas degenerate into linear scans with deep
-    # equality checks.  Salt each node's hash with its class.
-    for cls in (
-        Atom, Top, Bot, Not, And, Or, Implies, Iff,
-        Con, NonCon, Acc, Ess, Diamond, Box, Ann, AnnWhether,
-    ):
-        names = tuple(f.name for f in fields(cls))
-
-        def _structural_hash(
-            self: Formula,
-            _salt: int = hash(cls.__qualname__),
-            _names: tuple[str, ...] = names,
-        ) -> int:
-            return hash((_salt, *(getattr(self, n) for n in _names)))
-
-        cls.__hash__ = _structural_hash  # type: ignore[method-assign]
-
-
-_install_node_hashes()
 
 TOP = Top()
 BOT = Bot()
@@ -495,8 +517,23 @@ def desugar(f: Formula) -> Formula:
 
     The result uses only atoms, ``true``/``false``, ``~``, ``&``, ``C``,
     ``A``, ``<>``, and announcements, and is semantically equivalent to the
-    input at every pointed model.
+    input at every pointed model.  The result is memoized on the node, for
+    as long as the node lives.
     """
+    try:
+        core = f._core
+    except AttributeError:
+        core = _expand(f)
+        # None marks a node that is its own expansion, without the
+        # reference cycle that storing the node itself would make.
+        object.__setattr__(core, "_core", None)
+        if core is not f:
+            object.__setattr__(f, "_core", core)
+        return core
+    return f if core is None else core
+
+
+def _expand(f: Formula) -> Formula:
     match f:
         case Atom() | Top() | Bot():
             return f

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -137,6 +142,68 @@ def test_atom_names_are_validated() -> None:
         Atom("Paris")
     with pytest.raises(ValueError):
         Atom("true")
+
+
+# ---------------------------------------------------------------------------
+# Interning
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 14))
+def test_parse_render_returns_the_interned_node(seed: int, size: int) -> None:
+    f = random_formula(random.Random(seed), size, ("p", "q"), ann_depth=2)
+    assert parse(render(f)) is f
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [
+        *(
+            lambda f, protocol=protocol: pickle.loads(pickle.dumps(f, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ),
+        copy.copy,
+        copy.deepcopy,
+    ],
+)
+def test_copies_are_the_interned_node(clone) -> None:
+    f = parse("[?A p](C q -> O(p | ~q)) <-> [](true & ~false) & <>D p")
+    assert clone(f) is f
+
+
+def test_unpickling_reinterns_a_collected_node() -> None:
+    data = pickle.dumps(parse("A unpickled_q & C unpickled_q"))
+    gc.collect()
+    assert pickle.loads(data) is parse("A unpickled_q & C unpickled_q")
+
+
+def test_keyword_construction_returns_the_interned_node() -> None:
+    assert Atom(name="p") is P
+    assert Ann(announced=P, body=Q) is Ann(P, Q)
+    assert Ann(P, body=Q) is Ann(P, Q)
+    assert dataclasses.replace(And(P, Q), right=P) is And(P, P)
+    assert dataclasses.replace(TOP) is TOP
+
+
+def test_operators_of_the_same_shape_are_distinct() -> None:
+    assert And(P, Q) is not Or(P, Q)
+    assert And(P, Q) != Or(P, Q)
+    assert Con(P) != Acc(P)
+    assert len({And(P, Q), Or(P, Q), Implies(P, Q), Iff(P, Q)}) == 4
+
+
+def test_rejected_atom_leaves_no_node_behind() -> None:
+    with pytest.raises(ValueError):
+        Atom("Rejected")
+    assert ("Rejected",) not in Atom._nodes
+
+
+def test_unreferenced_nodes_are_collected() -> None:
+    f = Not(Con(Atom("collected_p")))
+    ref = weakref.ref(f)
+    del f
+    gc.collect()
+    assert ref() is None
+    assert ("collected_p",) not in Atom._nodes
 
 
 # ---------------------------------------------------------------------------
