@@ -52,7 +52,7 @@ from .syntax import (
     parse,
     render,
 )
-from .translate import reduce_announcements, to_diamond
+from .translate import ReductionTrace, reduce_announcements, to_diamond
 
 __all__ = ["main"]
 
@@ -122,6 +122,13 @@ def _read_frame(path: str) -> Frame:
         return frame_from_json(_read_json(path))
     except ValueError as err:
         raise _InputError(f"{path}: {err}") from None
+
+
+def _reduce(f: Formula) -> tuple[Formula, ReductionTrace]:
+    try:
+        return reduce_announcements(f)
+    except ValueError as err:  # an announcement no reduction axiom covers
+        raise _InputError(str(err)) from None
 
 
 def _frame_lines(data: dict) -> list[str]:
@@ -204,6 +211,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_valid(args: argparse.Namespace) -> int:
     f = _read_formula(args)
+    _reduce(f)  # reject an irreducible announcement before the scan
     report = find_countermodel(
         f, FrameClass(args.frame_class), args.max_worlds, workers=args.workers
     )
@@ -213,6 +221,7 @@ def _cmd_valid(args: argparse.Namespace) -> int:
 
 def _cmd_sat(args: argparse.Namespace) -> int:
     f = _read_formula(args)
+    _reduce(f)  # reject an irreducible announcement before the scan
     report = sat_bounded(
         f, FrameClass(args.frame_class), args.max_worlds, workers=args.workers
     )
@@ -226,7 +235,7 @@ def _cmd_sat(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     f = _read_formula(args)
-    reduced, trace = reduce_announcements(f)
+    reduced, trace = _reduce(f)
     if args.format == "machine":
         _machine(
             {
@@ -616,6 +625,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.fn(args)
     except _InputError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: formula nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -540,17 +540,17 @@ def conjecture_sweep(max_worlds: int = 4, max_prefix: int = 4) -> list[Report]:
                 a_cols = evaluator.columns(ant)
                 c_cols = evaluator.columns(cons)
                 bad = 0
-                for w in range(fr.n):
+                for w in range(n):
                     bad |= a_cols[w] & (c_cols[w] ^ full)
                 if bad:
                     v = (bad & -bad).bit_length() - 1
                     w = next(
                         u
-                        for u in range(fr.n)
+                        for u in range(n)
                         if a_cols[u] >> v & 1 and not c_cols[u] >> v & 1
                     )
                     witnesses[i] = ModelWitness(
-                        Model(fr, valuation_masks(v, ("p",), fr.n)), fr.worlds[w]
+                        Model(fr, valuation_masks(v, ("p",), n)), fr.worlds[w]
                     )
     return [
         Report(

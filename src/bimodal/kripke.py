@@ -3,18 +3,24 @@
 Worlds are identified by strings in interchange files and by dense indices
 internally; relations are stored as per-world successor bitsets, and world
 subsets generally travel as bitmasks.  :func:`evaluate` is the reference
-implementation of the satisfaction clauses; :class:`ColumnEvaluator` and
-:class:`ExtensionEvaluator` are vectorized equivalents used by the bounded
-search layers and are property-tested against it.
+implementation of the satisfaction clauses, one world at a time.  The bounded
+search layers use two vectorized evaluators instead: :class:`ColumnEvaluator`
+(every valuation of a frame at once) and :class:`ExtensionEvaluator` (every
+world of one model at once).  Both dispatch on the node class through a rule
+table, take the modal operators from one shared table of clauses, and memoize
+per live world set; they are property-tested against :func:`evaluate` and
+against each other.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations
-from typing import Iterable, Iterator, Mapping, Sequence
+from operator import and_, or_, xor
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from bimodal.syntax import (
     Acc,
@@ -418,6 +424,50 @@ def _atom_column(position: int, valuation_count: int) -> int:
     return block * repeat
 
 
+# One table of the modal clauses serves both evaluators.  An evaluator packs
+# many truth values of a formula into one integer, one bit per *lane*; a
+# clause maps the lanes where some live successor satisfies the child
+# (``some``), where every live successor does (``every``; all lanes when there
+# is none), where the world itself does (``here``), and the mask of all lanes
+# (``full``) to the lanes where the modal formula holds.
+_MODAL_CLAUSES: dict[type, Callable[[int, int, int, int], int]] = {
+    Con: lambda some, every, here, full: some & (every ^ full),
+    NonCon: lambda some, every, here, full: (some & (every ^ full)) ^ full,
+    Acc: lambda some, every, here, full: here & (every ^ full),
+    Ess: lambda some, every, here, full: (here ^ full) | every,
+    Diamond: lambda some, every, here, full: some,
+    Box: lambda some, every, here, full: every,
+}
+
+
+class _PerLiveSet(dict):
+    """A table keyed by live-world bitmask, filling each entry on first use."""
+
+    __slots__ = ("_build",)
+
+    def __init__(self, build: Callable[[int], object]) -> None:
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, alive: int) -> object:
+        value = self[alive] = self._build(alive)
+        return value
+
+
+def _live_lanes(full: int, n: int, alive: int) -> tuple[int, ...]:
+    return tuple(full if alive >> w & 1 else 0 for w in range(n))
+
+
+def _successor_lists(
+    succ: Sequence[int], alive: int
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    return tuple((w, tuple(_bits(succ[w] & alive))) for w in _bits(alive))
+
+
+def _successor_masks(succ: Sequence[int], alive: int) -> tuple[tuple[int, int], ...]:
+    return tuple((1 << w, succ[w] & alive) for w in _bits(alive))
+
+
 class ColumnEvaluator:
     """Truth of formulas at every world under every valuation at once.
 
@@ -425,10 +475,12 @@ class ColumnEvaluator:
     ``a*n + w`` of the index giving atom ``a``'s truth at world ``w``.  For
     each world the evaluator produces one integer whose bit ``v`` is the
     formula's truth under valuation ``v`` — the whole truth table of the
-    frame in ``n`` integers.  Results are memoized per (subformula, live
-    world set).  Formulas are interned, so a memo lookup costs O(1) whatever
-    the formula's size, and batches of formulas sharing subterms evaluate
-    each shared node once.
+    frame in ``n`` integers, zero at worlds outside the live set.  A node is
+    computed by the rule for its class in ``_COLUMN_RULES``; modal nodes
+    apply ``_MODAL_CLAUSES`` world by world, with valuations as lanes.
+    Results are memoized in one table per live world set, keyed by the
+    interned node, so batches of formulas sharing subterms evaluate each
+    shared node once; each live set's successor lists are built once.
     """
 
     def __init__(self, frame: Frame, atom_order: Sequence[str]) -> None:
@@ -436,204 +488,191 @@ class ColumnEvaluator:
         self.atom_order = tuple(atom_order)
         n = frame.n
         self.valuation_count = 1 << (len(self.atom_order) * n)
-        self.full = (1 << self.valuation_count) - 1
+        self.full = full = (1 << self.valuation_count) - 1
         self._atom_columns = {
             name: tuple(_atom_column(a * n + w, self.valuation_count) for w in range(n))
             for a, name in enumerate(self.atom_order)
         }
         self._alive_all = (1 << n) - 1
-        self._memo: dict[tuple[Formula, int], tuple[int, ...]] = {}
+        self._zeros = (0,) * n
+        self._memo: dict[int, dict[Formula, tuple[int, ...]]] = defaultdict(dict)
+        self._lanes = _PerLiveSet(partial(_live_lanes, full, n))
+        self._links = _PerLiveSet(partial(_successor_lists, frame.succ))
 
     def columns(self, f: Formula, alive: int | None = None) -> tuple[int, ...]:
         if alive is None:
             alive = self._alive_all
-        key = (f, alive)
-        cached = self._memo.get(key)
+        memo = self._memo[alive]
+        cached = memo.get(f)
         if cached is None:
-            cached = self._memo[key] = self._compute(f, alive)
+            try:
+                rule = _COLUMN_RULES[type(f)]
+            except KeyError:
+                raise TypeError(f"not a formula: {f!r}") from None
+            cached = memo[f] = rule(self, f, alive)
         return cached
 
-    def _compute(self, f: Formula, alive: int) -> tuple[int, ...]:
-        n = self.frame.n
-        full = self.full
-        zeros = [0] * n
-        match f:
-            case Atom(name):
-                try:
-                    base = self._atom_columns[name]
-                except KeyError:
-                    raise ValueError(f"atom {name!r} is not in the atom order") from None
-                return tuple(base[w] if alive >> w & 1 else 0 for w in range(n))
-            case Top():
-                return tuple(full if alive >> w & 1 else 0 for w in range(n))
-            case Bot():
-                return tuple(zeros)
-            case Not(child):
-                cols = self.columns(child, alive)
-                return tuple(cols[w] ^ full if alive >> w & 1 else 0 for w in range(n))
-            case And(left, right):
-                a, b = self.columns(left, alive), self.columns(right, alive)
-                return tuple(a[w] & b[w] for w in range(n))
-            case Or(left, right):
-                a, b = self.columns(left, alive), self.columns(right, alive)
-                return tuple(a[w] | b[w] for w in range(n))
-            case Implies(left, right):
-                a, b = self.columns(left, alive), self.columns(right, alive)
-                return tuple((a[w] ^ full) | b[w] if alive >> w & 1 else 0 for w in range(n))
-            case Iff(left, right):
-                a, b = self.columns(left, alive), self.columns(right, alive)
-                return tuple((a[w] ^ b[w]) ^ full if alive >> w & 1 else 0 for w in range(n))
-            case Con(child) | NonCon(child) | Acc(child) | Ess(child) | Diamond(child) | Box(child):
-                cols = self.columns(child, alive)
-                out = list(zeros)
-                for w in _bits(alive):
-                    some_true = 0
-                    some_false = 0
-                    all_true = full
-                    for u in _bits(self.frame.succ[w] & alive):
-                        some_true |= cols[u]
-                        some_false |= cols[u] ^ full
-                        all_true &= cols[u]
-                    match f:
-                        case Con():
-                            out[w] = some_true & some_false
-                        case NonCon():
-                            out[w] = (some_true & some_false) ^ full
-                        case Acc():
-                            out[w] = cols[w] & some_false
-                        case Ess():
-                            out[w] = (cols[w] ^ full) | all_true
-                        case Diamond():
-                            out[w] = some_true
-                        case Box():
-                            out[w] = all_true
-                return tuple(out)
-            case Ann(announced, body):
-                return self._announcement(self.columns(announced, alive), body, alive)
-            case AnnWhether(announced, body):
-                psi = self.columns(announced, alive)
-                positive = self._announcement(psi, body, alive)
-                inverted = tuple(
-                    psi[w] ^ full if alive >> w & 1 else 0 for w in range(self.frame.n)
-                )
-                negative = self._announcement(inverted, body, alive)
-                return tuple(a & b for a, b in zip(positive, negative))
-        raise TypeError(f"not a formula: {f!r}")
 
-    def _announcement(
-        self, psi_cols: tuple[int, ...], body: Formula, alive: int
-    ) -> tuple[int, ...]:
-        # Partition the valuations by the exact extension of the announced
-        # formula among live worlds; within one block the restriction is a
-        # fixed world set, so the body evaluates with that block as `alive`.
-        n = self.frame.n
-        full = self.full
-        out = [0] * n
-        subset = alive
-        while True:
-            selector = full
-            for w in _bits(alive):
-                selector &= psi_cols[w] if subset >> w & 1 else psi_cols[w] ^ full
-                if not selector:
-                    break
-            if selector:
-                if subset:
-                    body_cols = self.columns(body, subset)
-                    for w in _bits(alive):
-                        if subset >> w & 1:
-                            out[w] |= selector & body_cols[w]
-                        else:
-                            out[w] |= selector
-                else:
-                    for w in _bits(alive):
-                        out[w] |= selector
-            if subset == 0:
-                break
-            subset = (subset - 1) & alive
-        return tuple(out)
+def _column_atom(ev: ColumnEvaluator, f: Atom, alive: int) -> tuple[int, ...]:
+    try:
+        base = ev._atom_columns[f.name]
+    except KeyError:
+        raise ValueError(f"atom {f.name!r} is not in the atom order") from None
+    return tuple(map(and_, base, ev._lanes[alive]))
+
+
+def _column_modal(ev: ColumnEvaluator, f: Formula, alive: int) -> tuple[int, ...]:
+    cols = ev.columns(f.child, alive)
+    clause = _MODAL_CLAUSES[type(f)]
+    full = ev.full
+    out = list(ev._zeros)
+    for w, successors in ev._links[alive]:
+        some = 0
+        every = full
+        for u in successors:
+            some |= cols[u]
+            every &= cols[u]
+        out[w] = clause(some, every, cols[w], full)
+    return tuple(out)
+
+
+def _column_ann_whether(ev: ColumnEvaluator, f: AnnWhether, alive: int) -> tuple[int, ...]:
+    psi = ev.columns(f.announced, alive)
+    positive = _column_announcement(ev, psi, f.body, alive)
+    inverted = tuple(map(xor, psi, ev._lanes[alive]))
+    return tuple(map(and_, positive, _column_announcement(ev, inverted, f.body, alive)))
+
+
+def _column_announcement(
+    ev: ColumnEvaluator, psi: tuple[int, ...], body: Formula, alive: int
+) -> tuple[int, ...]:
+    # Partition the valuations by the exact extension of the announced
+    # formula among live worlds; within one block the restriction is a
+    # fixed world set, so the body evaluates with that block as `alive`.
+    # The blocks are refined world by world, dropping empty ones early.
+    full = ev.full
+    live = list(_bits(alive))
+    blocks = [(0, full)]
+    for w in live:
+        bit, holds = 1 << w, psi[w]
+        refined = []
+        for subset, selector in blocks:
+            if selector & holds:
+                refined.append((subset | bit, selector & holds))
+            if selector & ~holds:
+                refined.append((subset, selector & ~holds))
+        blocks = refined
+    out = list(ev._zeros)
+    for subset, selector in blocks:
+        body_cols = ev.columns(body, subset) if subset else ev._zeros
+        for w in live:
+            out[w] |= selector & body_cols[w] if subset >> w & 1 else selector
+    return tuple(out)
+
+
+_COLUMN_RULES: dict[type, Callable[[ColumnEvaluator, Formula, int], tuple[int, ...]]] = {
+    Atom: _column_atom,
+    Top: lambda ev, f, alive: ev._lanes[alive],
+    Bot: lambda ev, f, alive: ev._zeros,
+    Not: lambda ev, f, alive: tuple(map(xor, ev.columns(f.child, alive), ev._lanes[alive])),
+    And: lambda ev, f, alive: tuple(
+        map(and_, ev.columns(f.left, alive), ev.columns(f.right, alive))
+    ),
+    Or: lambda ev, f, alive: tuple(
+        map(or_, ev.columns(f.left, alive), ev.columns(f.right, alive))
+    ),
+    Implies: lambda ev, f, alive: tuple(
+        map(or_, map(xor, ev.columns(f.left, alive), ev._lanes[alive]), ev.columns(f.right, alive))
+    ),
+    Iff: lambda ev, f, alive: tuple(
+        map(xor, map(xor, ev.columns(f.left, alive), ev.columns(f.right, alive)), ev._lanes[alive])
+    ),
+    **dict.fromkeys(_MODAL_CLAUSES, _column_modal),
+    Ann: lambda ev, f, alive: _column_announcement(
+        ev, ev.columns(f.announced, alive), f.body, alive
+    ),
+    AnnWhether: _column_ann_whether,
+}
 
 
 class ExtensionEvaluator:
     """Satisfying world sets (as bitmasks) over one model.
 
-    The single-valuation counterpart of :class:`ColumnEvaluator`, memoized
-    the same way per (subformula, live world set).
+    The single-valuation counterpart of :class:`ColumnEvaluator`, with the
+    same shape: a rule per node class in ``_EXTENSION_RULES``, a memo table
+    per live world set keyed by the interned node, and successor masks built
+    once per live set.  Here the lanes are worlds, so a modal node applies
+    its ``_MODAL_CLAUSES`` entry once, with the live set as ``full``.
     """
 
     def __init__(self, model: Model) -> None:
         self.model = model
         self._alive_all = (1 << model.frame.n) - 1
-        self._memo: dict[tuple[Formula, int], int] = {}
+        self._memo: dict[int, dict[Formula, int]] = defaultdict(dict)
+        self._links = _PerLiveSet(partial(_successor_masks, model.frame.succ))
 
     def extension(self, f: Formula, alive: int | None = None) -> int:
         if alive is None:
             alive = self._alive_all
-        key = (f, alive)
-        cached = self._memo.get(key)
+        memo = self._memo[alive]
+        cached = memo.get(f)
         if cached is None:
-            cached = self._memo[key] = self._compute(f, alive)
+            try:
+                rule = _EXTENSION_RULES[type(f)]
+            except KeyError:
+                raise TypeError(f"not a formula: {f!r}") from None
+            cached = memo[f] = rule(self, f, alive)
         return cached
 
     def holds(self, f: Formula, world: str) -> bool:
         return bool(self.extension(f) >> self.model.frame.index(world) & 1)
 
-    def _compute(self, f: Formula, alive: int) -> int:
-        model = self.model
-        frame = model.frame
-        match f:
-            case Atom(name):
-                return model.valuation.get(name, 0) & alive
-            case Top():
-                return alive
-            case Bot():
-                return 0
-            case Not(child):
-                return alive & ~self.extension(child, alive)
-            case And(left, right):
-                return self.extension(left, alive) & self.extension(right, alive)
-            case Or(left, right):
-                return self.extension(left, alive) | self.extension(right, alive)
-            case Implies(left, right):
-                return (alive & ~self.extension(left, alive)) | self.extension(right, alive)
-            case Iff(left, right):
-                return alive & ~(self.extension(left, alive) ^ self.extension(right, alive))
-            case Con(child) | NonCon(child) | Acc(child) | Ess(child) | Diamond(child) | Box(child):
-                ext = self.extension(child, alive)
-                out = 0
-                for w in _bits(alive):
-                    reach = frame.succ[w] & alive
-                    some_true = bool(reach & ext)
-                    some_false = bool(reach & ~ext)
-                    match f:
-                        case Con():
-                            hit = some_true and some_false
-                        case NonCon():
-                            hit = not (some_true and some_false)
-                        case Acc():
-                            hit = bool(ext >> w & 1) and some_false
-                        case Ess():
-                            hit = not (ext >> w & 1) or not some_false
-                        case Diamond():
-                            hit = some_true
-                        case Box():
-                            hit = not some_false
-                    if hit:
-                        out |= 1 << w
-                return out
-            case Ann(announced, body):
-                return self._announcement(self.extension(announced, alive), body, alive)
-            case AnnWhether(announced, body):
-                psi = self.extension(announced, alive)
-                positive = self._announcement(psi, body, alive)
-                negative = self._announcement(alive & ~psi, body, alive)
-                return positive & negative
-        raise TypeError(f"not a formula: {f!r}")
 
-    def _announcement(self, psi_ext: int, body: Formula, alive: int) -> int:
-        vacuous = alive & ~psi_ext
-        if not psi_ext:
-            return vacuous
-        return vacuous | (psi_ext & self.extension(body, psi_ext))
+def _extension_modal(ev: ExtensionEvaluator, f: Formula, alive: int) -> int:
+    ext = ev.extension(f.child, alive)
+    some = every = 0
+    for bit, reach in ev._links[alive]:
+        if reach & ext:
+            some |= bit
+        if not reach & ~ext:
+            every |= bit
+    return _MODAL_CLAUSES[type(f)](some, every, ext, alive)
+
+
+def _extension_announcement(
+    ev: ExtensionEvaluator, psi: int, body: Formula, alive: int
+) -> int:
+    vacuous = alive & ~psi
+    if not psi:
+        return vacuous
+    return vacuous | (psi & ev.extension(body, psi))
+
+
+def _extension_ann_whether(ev: ExtensionEvaluator, f: AnnWhether, alive: int) -> int:
+    psi = ev.extension(f.announced, alive)
+    positive = _extension_announcement(ev, psi, f.body, alive)
+    return positive & _extension_announcement(ev, alive & ~psi, f.body, alive)
+
+
+_EXTENSION_RULES: dict[type, Callable[[ExtensionEvaluator, Formula, int], int]] = {
+    Atom: lambda ev, f, alive: ev.model.valuation.get(f.name, 0) & alive,
+    Top: lambda ev, f, alive: alive,
+    Bot: lambda ev, f, alive: 0,
+    Not: lambda ev, f, alive: ev.extension(f.child, alive) ^ alive,
+    And: lambda ev, f, alive: ev.extension(f.left, alive) & ev.extension(f.right, alive),
+    Or: lambda ev, f, alive: ev.extension(f.left, alive) | ev.extension(f.right, alive),
+    Implies: lambda ev, f, alive: (
+        (ev.extension(f.left, alive) ^ alive) | ev.extension(f.right, alive)
+    ),
+    Iff: lambda ev, f, alive: (
+        ev.extension(f.left, alive) ^ ev.extension(f.right, alive) ^ alive
+    ),
+    **dict.fromkeys(_MODAL_CLAUSES, _extension_modal),
+    Ann: lambda ev, f, alive: _extension_announcement(
+        ev, ev.extension(f.announced, alive), f.body, alive
+    ),
+    AnnWhether: _extension_ann_whether,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -570,3 +570,22 @@ class TestGrammar:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+
+class TestUnreadableFormulas:
+    """Inputs the library rejects are usage errors (2), never refutations (1)."""
+
+    @pytest.mark.parametrize("command", ["valid", "sat", "reduce"])
+    def test_irreducible_announcement(self, capsys, command):
+        code, out, err = run(capsys, command, "[!q]<>p")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot reduce [!q]<>p")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["valid", "sat", "reduce", "parse"])
+    def test_deep_nesting(self, capsys, command):
+        code, _, err = run(capsys, command, "~" * 900 + "p")
+        assert code == 2
+        assert err == "error: formula nested too deeply\n"
+        assert "Traceback" not in err
