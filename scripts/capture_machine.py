@@ -8,9 +8,9 @@ produce byte-identical machine output on the whole set::
     python3 scripts/capture_machine.py                      # this checkout
     python3 scripts/capture_machine.py --src ../other/src   # another one
 
-The set covers every subcommand, and one transitive scan runs with
-``--workers 1`` and ``--workers 2``; the script exits 1 if those two outputs
-(verdict, witness and work counters) differ.
+The set covers every subcommand, and one validity and one definability scan
+run with ``--workers 1`` and ``--workers 2``; the script exits 1 if the two
+outputs of either pair (verdict, witness and work counters) differ.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ COMMANDS = (
     ("frame-mirror", ["frame", "mirror", "{dir}/frame.json"]),
     ("frame-serialize", ["frame", "serialize", "{dir}/frame.json"]),
     ("defines-4", ["defines", "D p -> D D p", "--class", "4", "--workers", "1"]),
+    ("defines-4-w2", ["defines", "D p -> D D p", "--class", "4", "--workers", "2"]),
     ("defines-T-refuted", ["defines", "A p -> p", "--class", "T", "--workers", "1"]),
     ("distinguish-nabla-bullet", [
         "distinguish", "{dir}/looped.json", "{dir}/plain.json",
@@ -113,10 +114,12 @@ def main() -> int:
             code, out = run_cli(src, [arg.replace("{dir}", tmp) for arg in argv])
             outputs[label] = out
             print(f"{hashlib.sha256(out).hexdigest()}  {code}  {label}", flush=True)
-    if outputs["valid-4-w1"] != outputs["valid-4-w2"]:
-        print("--workers 1 and --workers 2 disagree on valid-4", file=sys.stderr)
-        return 1
-    return 0
+    status = 0
+    for serial, parallel in (("valid-4-w1", "valid-4-w2"), ("defines-4", "defines-4-w2")):
+        if outputs[serial] != outputs[parallel]:
+            print(f"--workers 1 and --workers 2 disagree: {serial}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

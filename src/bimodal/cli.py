@@ -52,7 +52,7 @@ from .syntax import (
     parse,
     render,
 )
-from .translate import ReductionTrace, reduce_announcements, to_diamond
+from .translate import reduce_announcements, to_diamond
 
 __all__ = ["main"]
 
@@ -122,13 +122,6 @@ def _read_frame(path: str) -> Frame:
         return frame_from_json(_read_json(path))
     except ValueError as err:
         raise _InputError(f"{path}: {err}") from None
-
-
-def _reduce(f: Formula) -> tuple[Formula, ReductionTrace]:
-    try:
-        return reduce_announcements(f)
-    except ValueError as err:  # an announcement no reduction axiom covers
-        raise _InputError(str(err)) from None
 
 
 def _frame_lines(data: dict) -> list[str]:
@@ -211,20 +204,24 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_valid(args: argparse.Namespace) -> int:
     f = _read_formula(args)
-    _reduce(f)  # reject an irreducible announcement before the scan
-    report = find_countermodel(
-        f, FrameClass(args.frame_class), args.max_worlds, workers=args.workers
-    )
+    try:
+        report = find_countermodel(
+            f, FrameClass(args.frame_class), args.max_worlds, workers=args.workers
+        )
+    except ValueError as err:  # an irreducible announcement or too many worlds
+        raise _InputError(str(err)) from None
     _print_report(report, args.format)
     return 0 if report.verdict == HOLDS_AT_BOUND else 1
 
 
 def _cmd_sat(args: argparse.Namespace) -> int:
     f = _read_formula(args)
-    _reduce(f)  # reject an irreducible announcement before the scan
-    report = sat_bounded(
-        f, FrameClass(args.frame_class), args.max_worlds, workers=args.workers
-    )
+    try:
+        report = sat_bounded(
+            f, FrameClass(args.frame_class), args.max_worlds, workers=args.workers
+        )
+    except ValueError as err:  # an irreducible announcement or too many worlds
+        raise _InputError(str(err)) from None
     # the report's REFUTED refutes the unsatisfiability claim: a model exists
     satisfiable = report.verdict == REFUTED
     _print_report(
@@ -235,7 +232,10 @@ def _cmd_sat(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     f = _read_formula(args)
-    reduced, trace = _reduce(f)
+    try:
+        reduced, trace = reduce_announcements(f)
+    except ValueError as err:  # an announcement no reduction axiom covers
+        raise _InputError(str(err)) from None
     if args.format == "machine":
         _machine(
             {

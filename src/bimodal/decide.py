@@ -15,9 +15,11 @@ formulas examined for expressivity searches — never wall-clock time.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from operator import and_
+from typing import Iterable, Mapping
 
 from bimodal.kripke import (
     ColumnEvaluator,
@@ -26,11 +28,14 @@ from bimodal.kripke import (
     FrameClass,
     Model,
     PointedModel,
+    _canonical_flags,
+    _least_point,
     enumerate_frames,
     frame_has_property,
     frame_to_json,
     has_announcements,
     model_to_json,
+    named_valuation,
     refuting_point,
     valuation_masks,
 )
@@ -169,41 +174,25 @@ def _prepare(f: Formula) -> Formula:
     return desugar(f)
 
 
-def _frame_at(n: int, relation_index: int) -> Frame:
-    row = (1 << n) - 1
-    return Frame(
-        tuple(f"w{i}" for i in range(n)),
-        tuple((relation_index >> (s * n)) & row for s in range(n)),
-    )
+def _scan_chunk(payload: tuple) -> tuple[int, int, tuple | None]:
+    """Scan one relation-index range of one world count for the least hit.
 
-
-def _scan_chunk(payload: tuple) -> tuple:
-    """Worker body: scan one relation-index range of one world count.
-
-    Formulas travel as text and frames as relation indices so that the
-    payloads stay picklable and cheap.
+    Returns (frames, valuations, hit) with ``hit`` a (frame, valuation
+    index, world index) triple; the last two are None when a definability
+    scan finds the formula valid on a frame without the property.
     """
-    mode, text, scan_class, property_class, n, lo, hi, order = payload
-    core = parse(text)
+    core, scan_class, property_class, n, lo, hi, order = payload
     frames = 0
-    valuations = 0
     per_frame = 1 << (len(order) * n)
-    for fr in enumerate_frames(
-        n, FrameClass(scan_class), up_to_iso=True, index_range=(lo, hi)
-    ):
+    for fr in enumerate_frames(n, scan_class, up_to_iso=True, index_range=(lo, hi)):
         frames += 1
-        valuations += per_frame
-        hit = refuting_point(fr, core, order)
-        if mode == "refute":
-            if hit is not None:
-                return frames, valuations, (fr.relation_index(), hit[0], hit[1])
-        else:
-            has = frame_has_property(fr, FrameClass(property_class))
-            if has and hit is not None:
-                return frames, valuations, (fr.relation_index(), hit[0], hit[1])
-            if not has and hit is None:
-                return frames, valuations, (fr.relation_index(), None, None)
-    return frames, valuations, None
+        point = refuting_point(fr, core, order)
+        if property_class is None or frame_has_property(fr, property_class):
+            if point is not None:
+                return frames, frames * per_frame, (fr, *point)
+        elif point is None:
+            return frames, frames * per_frame, (fr, None, None)
+    return frames, frames * per_frame, None
 
 
 def _scan_frames(
@@ -211,88 +200,62 @@ def _scan_frames(
     scan_class: FrameClass,
     property_class: FrameClass | None,
     max_worlds: int,
-    order: Sequence[str],
+    order: tuple[str, ...],
     workers: int,
-) -> tuple[int, int, tuple[int, int, int | None, int | None] | None]:
+) -> tuple[int, int, tuple | None]:
     """Find the least offending frame, returning (frames, valuations, hit).
 
-    ``hit`` is (n, relation index, valuation index, world index); the last
-    two are None when the offense is plain validity on a property-free
-    frame during a definability scan.
+    Without ``property_class`` a frame offends when ``core`` fails on it;
+    with one, when frame validity of ``core`` and the property disagree.
+    Each world count is split into index chunks, mapped in order (across a
+    process pool when ``workers`` > 1 and the count is large), so the first
+    chunk with a hit holds the least hit.
     """
     if max_worlds < 1:
         raise ValueError("need at least one world")
-    mode = "refute" if property_class is None else "defines"
-    text = render(core)
     frames_scanned = 0
     valuations_scanned = 0
     for n in range(1, max_worlds + 1):
         total = 1 << (n * n)
-        if workers > 1 and total >= 4096:
-            chunk_count = workers * 4
-            bounds = [
-                (total * i // chunk_count, total * (i + 1) // chunk_count)
-                for i in range(chunk_count)
-            ]
-            payloads = [
-                (
-                    mode,
-                    text,
-                    scan_class.value,
-                    None if property_class is None else property_class.value,
-                    n,
-                    lo,
-                    hi,
-                    tuple(order),
-                )
-                for lo, hi in bounds
-            ]
-            from concurrent.futures import ProcessPoolExecutor
+        chunks = workers * 4 if workers > 1 and total >= 4096 else 1
+        bounds = [total * i // chunks for i in range(chunks + 1)]
+        payloads = [
+            (core, scan_class, property_class, n, lo, hi, order)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        with ExitStack() as stack:
+            run = map
+            if chunks > 1:
+                from concurrent.futures import ProcessPoolExecutor
 
-            from bimodal.kripke import _canonical_flags
-
-            _canonical_flags(n)  # warmed before fork so workers inherit it
-            executor = ProcessPoolExecutor(max_workers=workers)
-            try:
-                for frames, valuations, hit in executor.map(_scan_chunk, payloads):
-                    frames_scanned += frames
-                    valuations_scanned += valuations
-                    if hit is not None:
-                        rel, v, w = hit
-                        return frames_scanned, valuations_scanned, (n, rel, v, w)
-            finally:
-                executor.shutdown(wait=False, cancel_futures=True)
-        else:
-            frames, valuations, hit = _scan_chunk(
-                (
-                    mode,
-                    text,
-                    scan_class.value,
-                    None if property_class is None else property_class.value,
-                    n,
-                    0,
-                    total,
-                    tuple(order),
-                )
-            )
-            frames_scanned += frames
-            valuations_scanned += valuations
-            if hit is not None:
-                rel, v, w = hit
-                return frames_scanned, valuations_scanned, (n, rel, v, w)
+                _canonical_flags(n)  # warmed before fork so workers inherit it
+                executor = ProcessPoolExecutor(max_workers=workers)
+                stack.callback(executor.shutdown, wait=False, cancel_futures=True)
+                run = executor.map
+            for frames, valuations, hit in run(_scan_chunk, payloads):
+                frames_scanned += frames
+                valuations_scanned += valuations
+                if hit is not None:
+                    return frames_scanned, valuations_scanned, hit
     return frames_scanned, valuations_scanned, None
-
-
-def _named_valuation(fr: Frame, v: int, order: Sequence[str]) -> dict[str, tuple[str, ...]]:
-    masks = valuation_masks(v, order, fr.n)
-    return {
-        name: tuple(fr.worlds[w] for w in range(fr.n) if mask >> w & 1)
-        for name, mask in masks.items()
-    }
 
 
 # ---------------------------------------------------------------------------
 # Countermodel search and duals
+
+
+def _countermodel_report(
+    query: str, f: Formula, core: Formula, c: FrameClass, max_worlds: int, workers: int
+) -> Report:
+    """Report on ``query`` with the least pointed model in ``c`` refuting ``core``."""
+    order = tuple(sorted(atoms(f) | atoms(core)))
+    frames, valuations, hit = _scan_frames(core, c, None, max_worlds, order, workers)
+    stats = Statistics(frames, valuations, frames * metrics(core)["size"])
+    if hit is None:
+        return Report(query, HOLDS_AT_BOUND, None, stats)
+    fr, v, w = hit
+    witness = ModelWitness(Model(fr, valuation_masks(v, order, fr.n)), fr.worlds[w])
+    return Report(query, REFUTED, witness, stats)
 
 
 def find_countermodel(
@@ -308,17 +271,7 @@ def find_countermodel(
     evaluates announcement-free formulas.
     """
     query = f"valid? {render(f)} [class {c.value}, <= {max_worlds} worlds]"
-    core = _prepare(f)
-    order = tuple(sorted(atoms(f) | atoms(core)))
-    size = metrics(core)["size"]
-    frames, valuations, hit = _scan_frames(core, c, None, max_worlds, order, workers)
-    stats = Statistics(frames, valuations, frames * size)
-    if hit is None:
-        return Report(query, HOLDS_AT_BOUND, None, stats)
-    n, rel, v, w = hit
-    fr = _frame_at(n, rel)
-    witness = ModelWitness(Model(fr, valuation_masks(v, order, n)), fr.worlds[w])
-    return Report(query, REFUTED, witness, stats)
+    return _countermodel_report(query, f, _prepare(f), c, max_worlds, workers)
 
 
 def valid_bounded(
@@ -345,18 +298,7 @@ def sat_bounded(
     means no satisfying pointed model exists within the bound.
     """
     query = f"satisfiable? {render(f)} [class {c.value}, <= {max_worlds} worlds]"
-    core = _prepare(f)
-    order = tuple(sorted(atoms(f) | atoms(core)))
-    negated = Not(core)
-    size = metrics(negated)["size"]
-    frames, valuations, hit = _scan_frames(negated, c, None, max_worlds, order, workers)
-    stats = Statistics(frames, valuations, frames * size)
-    if hit is None:
-        return Report(query, HOLDS_AT_BOUND, None, stats)
-    n, rel, v, w = hit
-    fr = _frame_at(n, rel)
-    witness = ModelWitness(Model(fr, valuation_masks(v, order, n)), fr.worlds[w])
-    return Report(query, REFUTED, witness, stats)
+    return _countermodel_report(query, f, Not(_prepare(f)), c, max_worlds, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -381,20 +323,18 @@ def defines_property(
     query = f"defines? {render(f)} <-> class {c.value} [<= {max_worlds} worlds]"
     core = desugar(f)
     order = tuple(sorted(atoms(core)))
-    size = metrics(core)["size"]
     frames, valuations, hit = _scan_frames(
         core, FrameClass.K, c, max_worlds, order, workers
     )
-    stats = Statistics(frames, valuations, frames * size)
+    stats = Statistics(frames, valuations, frames * metrics(core)["size"])
     if hit is None:
         return Report(query, HOLDS_AT_BOUND, None, stats)
-    n, rel, v, w = hit
-    fr = _frame_at(n, rel)
+    fr, v, w = hit
     if v is None:
         witness = FrameWitness(fr, _DIRECTION_VALID)
     else:
         witness = FrameWitness(
-            fr, _DIRECTION_FAILS, _named_valuation(fr, v, order), fr.worlds[w]
+            fr, _DIRECTION_FAILS, named_valuation(fr, v, order), fr.worlds[w]
         )
     return Report(query, REFUTED, witness, stats)
 
@@ -539,16 +479,13 @@ def conjecture_sweep(max_worlds: int = 4, max_prefix: int = 4) -> list[Report]:
                 valuations_scanned[i] += evaluator.valuation_count
                 a_cols = evaluator.columns(ant)
                 c_cols = evaluator.columns(cons)
+                # Nearly every check in a sweep is clean; the inline union
+                # rules a refutation out before any least point is looked up.
                 bad = 0
                 for w in range(n):
                     bad |= a_cols[w] & (c_cols[w] ^ full)
                 if bad:
-                    v = (bad & -bad).bit_length() - 1
-                    w = next(
-                        u
-                        for u in range(n)
-                        if a_cols[u] >> v & 1 and not c_cols[u] >> v & 1
-                    )
+                    v, w = _least_point(map(and_, a_cols, map(full.__xor__, c_cols)))
                     witnesses[i] = ModelWitness(
                         Model(fr, valuation_masks(v, ("p",), n)), fr.worlds[w]
                     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import permutations
 from operator import and_, or_, xor
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -62,6 +62,7 @@ __all__ = [
     "ExtensionEvaluator",
     "refuting_point",
     "valuation_masks",
+    "named_valuation",
     "frame_to_json",
     "frame_from_json",
     "model_to_json",
@@ -363,9 +364,21 @@ def _apply_world_permutation(rel: int, perm: Sequence[int], n: int) -> int:
     return image
 
 
-@lru_cache(maxsize=None)
+# The orbit table has 2^(n*n) entries: 32 MiB at 5 worlds, 64 GiB at 6.
+_MAX_ISO_WORLDS = 5
+
+
 def _canonical_flags(n: int) -> bytes:
     """Flag per relation index: 1 iff it is the least of its isomorphism orbit."""
+    if n > _MAX_ISO_WORLDS:
+        raise ValueError(
+            f"isomorphism-pruned frame scans stop at {_MAX_ISO_WORLDS} worlds, not {n}"
+        )
+    return _orbit_flags(n)
+
+
+@lru_cache(maxsize=None)
+def _orbit_flags(n: int) -> bytes:
     total = 1 << (n * n)
     seen = bytearray(total)
     flags = bytearray(total)
@@ -685,23 +698,37 @@ def valuation_masks(index: int, atom_order: Sequence[str], n: int) -> dict[str, 
     return {name: (index >> (a * n)) & row for a, name in enumerate(atom_order)}
 
 
+def named_valuation(
+    fr: Frame, index: int, atom_order: Sequence[str]
+) -> dict[str, tuple[str, ...]]:
+    """Decode a valuation index into the worlds, by name, where each atom holds."""
+    return {
+        name: tuple(fr.worlds[w] for w in _bits(mask))
+        for name, mask in valuation_masks(index, atom_order, fr.n).items()
+    }
+
+
+def _least_point(bad_columns: Iterable[int]) -> tuple[int, int] | None:
+    """The least (valuation index, world index) set in per-world columns.
+
+    Every scan reports its witness by this one rule: the least valuation
+    index with a set bit at any world, then the least world where it is set.
+    """
+    cols = tuple(bad_columns)
+    bad = reduce(or_, cols, 0)
+    if not bad:
+        return None
+    v = (bad & -bad).bit_length() - 1
+    return v, next(w for w, col in enumerate(cols) if col >> v & 1)
+
+
 def refuting_point(
     fr: Frame, f: Formula, atom_order: Sequence[str]
 ) -> tuple[int, int] | None:
     """Least (valuation index, world index) where ``f`` fails, if any."""
     evaluator = ColumnEvaluator(fr, atom_order)
-    cols = evaluator.columns(f)
     full = evaluator.full
-    bad = 0
-    for w in range(fr.n):
-        bad |= cols[w] ^ full
-    if not bad:
-        return None
-    v = (bad & -bad).bit_length() - 1
-    for w in range(fr.n):
-        if not cols[w] >> v & 1:
-            return v, w
-    raise AssertionError("unreachable")
+    return _least_point(col ^ full for col in evaluator.columns(f))
 
 
 def frame_valid(
@@ -720,11 +747,7 @@ def frame_valid(
     if refutation is None:
         return True, None
     v, w = refutation
-    masks = valuation_masks(v, atom_order, fr.n)
-    named = {
-        name: tuple(fr.worlds[u] for u in _bits(mask)) for name, mask in masks.items()
-    }
-    return False, (named, fr.worlds[w])
+    return False, (named_valuation(fr, v, atom_order), fr.worlds[w])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from . import fixtures
 from .corpus import builtin_corpus
@@ -28,7 +28,6 @@ from .decide import (
 )
 from .kripke import (
     ColumnEvaluator,
-    Frame,
     FrameClass,
     enumerate_frames,
     evaluate,
@@ -210,19 +209,26 @@ def random_formula(
 # Reusable batteries (the acceptance bounds live in the test suite)
 
 
-def _mirror_affected_frames(max_worlds: int) -> Iterator[Frame]:
-    """All labeled frames up to the bound that the mirror reduction changes."""
+def _mirror_violations(
+    max_worlds: int, battery: Sequence[Formula], order: tuple
+) -> tuple[int, int]:
+    """(violations, frames) over the labeled frames the mirror reduction changes.
+
+    A violation is one battery formula whose truth table on a frame differs
+    from its truth table on the frame's mirror reduction.
+    """
+    violations = 0
+    frames = 0
     for n in range(1, max_worlds + 1):
         for fr in enumerate_frames(n):
-            if mirror_reduction(fr) != fr:
-                yield fr
-
-
-def _pointwise_agree(fr: Frame, battery: Sequence[Formula], order: tuple) -> int:
-    """Count of battery formulas whose truth the mirror reduction changes."""
-    left = ColumnEvaluator(fr, order)
-    right = ColumnEvaluator(mirror_reduction(fr), order)
-    return sum(1 for f in battery if left.columns(f) != right.columns(f))
+            reduced = mirror_reduction(fr)
+            if reduced == fr:
+                continue
+            frames += 1
+            left = ColumnEvaluator(fr, order)
+            right = ColumnEvaluator(reduced, order)
+            violations += sum(1 for f in battery if left.columns(f) != right.columns(f))
+    return violations, frames
 
 
 def mirror_pointwise_exhaustive(
@@ -231,12 +237,7 @@ def mirror_pointwise_exhaustive(
     """(violations, frames changed by the reduction, formulas per frame)."""
     order = tuple(sorted(atom_names))
     battery = list(enumerate_formulas(order, LanguageTag.NABLA_BULLET, max_size))
-    violations = 0
-    frames = 0
-    for fr in _mirror_affected_frames(max_worlds):
-        frames += 1
-        violations += _pointwise_agree(fr, battery, order)
-    return violations, frames, len(battery)
+    return (*_mirror_violations(max_worlds, battery, order), len(battery))
 
 
 def mirror_pointwise_random(
@@ -249,12 +250,7 @@ def mirror_pointwise_random(
         random_formula(rng, rng.randint(2, max_size), order, sugar=False)
         for _ in range(count)
     ]
-    violations = 0
-    frames = 0
-    for fr in _mirror_affected_frames(max_worlds):
-        frames += 1
-        violations += _pointwise_agree(fr, battery, order)
-    return violations, frames
+    return _mirror_violations(max_worlds, battery, order)
 
 
 def announcement_reduction_random(

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from operator import xor
 
 from bimodal.kripke import (
     ColumnEvaluator,
     FrameClass,
     Model,
     PointedModel,
+    _least_point,
     enumerate_frames,
     valuation_masks,
 )
@@ -241,16 +243,9 @@ def equivalent_bounded(
     for n in range(1, max_worlds + 1):
         for fr in enumerate_frames(n, c, up_to_iso=True):
             evaluator = ColumnEvaluator(fr, order)
-            cols_f = evaluator.columns(f)
-            cols_g = evaluator.columns(g)
-            diff = 0
-            for w in range(n):
-                diff |= cols_f[w] ^ cols_g[w]
-            if diff:
-                v = (diff & -diff).bit_length() - 1
-                w = next(
-                    w for w in range(n) if (cols_f[w] ^ cols_g[w]) >> v & 1
-                )
+            point = _least_point(map(xor, evaluator.columns(f), evaluator.columns(g)))
+            if point is not None:
+                v, w = point
                 model = Model(fr, valuation_masks(v, order, n))
                 return False, PointedModel(model, fr.worlds[w])
     return True, None

@@ -116,15 +116,24 @@ def test_expressivity_searches():
     complement, _ = equivalent_bounded(found, Not(double_necessity))
     assert same or complement, f"{render(found)} is not a double-necessity split"
 
-    for name, left, right in (
-        ("singleton pair", REFLEXIVE_POINT, ARROWLESS_POINT),
-        ("serial pair", SERIAL_LOOPED, SERIAL_PLAIN),
-    ):
-        r = distinguishing_formula(left, right, LanguageTag.NABLA_BULLET, {"p"}, 7)
-        assert r.verdict == HOLDS_AT_BOUND, (
-            f"the ∇/• search split the {name} with {render(r.witness.formula)} "
-            f"after {r.statistics.work_units} candidates"
-        )
+    r = distinguishing_formula(
+        REFLEXIVE_POINT, ARROWLESS_POINT, LanguageTag.NABLA_BULLET, {"p"}, 7
+    )
+    assert r.verdict == HOLDS_AT_BOUND, (
+        f"the ∇/• search split the singleton pair with {render(r.witness.formula)}"
+    )
+
+    # t sees a p-world (s) and a ¬p-world (t), so C p holds at t in the
+    # looped model; s sees only t, so ~C p is an accident at s.  In the plain
+    # model every world has one successor and C p is false everywhere.
+    r = distinguishing_formula(
+        SERIAL_LOOPED, SERIAL_PLAIN, LanguageTag.NABLA_BULLET, {"p"}, 7
+    )
+    assert r.verdict == REFUTED
+    found = r.witness.formula
+    assert found == parse("A ~C p")
+    assert evaluate(SERIAL_LOOPED.model, SERIAL_LOOPED.point, found)
+    assert not evaluate(SERIAL_PLAIN.model, SERIAL_PLAIN.point, found)
 
 
 def test_announcement_reduction():

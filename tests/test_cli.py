@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bimodal import kripke
 from bimodal.cli import main
 from bimodal.kripke import model_from_json
 from bimodal.proof import check_proof, proof_from_json, proof_to_json
@@ -582,6 +583,20 @@ class TestUnreadableFormulas:
         assert out == ""
         assert err.startswith("error: cannot reduce [!q]<>p")
         assert "Traceback" not in err
+
+    # a valid formula and an unsatisfiable one, so both scans reach 4 worlds
+    @pytest.mark.parametrize("command, text", [("valid", "A p -> p"), ("sat", "p & ~p")])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_world_count_beyond_the_scan_limit(
+        self, capsys, monkeypatch, command, text, workers
+    ):
+        monkeypatch.setattr(kripke, "_MAX_ISO_WORLDS", 3)
+        code, out, err = run(
+            capsys, command, text, "--max-worlds", "4", "--workers", workers
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: isomorphism-pruned frame scans stop at 3 worlds, not 4\n"
 
     @pytest.mark.parametrize("command", ["valid", "sat", "reduce", "parse"])
     def test_deep_nesting(self, capsys, command):

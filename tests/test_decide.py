@@ -19,6 +19,7 @@ from bimodal.decide import (
     sat_bounded,
     valid_bounded,
 )
+from bimodal import kripke
 from bimodal.kripke import (
     Frame,
     FrameClass,
@@ -197,6 +198,16 @@ class TestFindCountermodel:
     def test_rejects_empty_bound(self):
         with pytest.raises(ValueError, match="need at least one world"):
             find_countermodel(parse("p"), FrameClass.K, 0)
+
+    def test_world_limit_is_checked_lazily(self, monkeypatch):
+        f = parse("A p -> [] p")
+        small = find_countermodel(f, FrameClass.K, 3)
+        beyond = find_countermodel(f, FrameClass.K, 6)  # refuted at 2 worlds
+        assert beyond.witness.to_json() == small.witness.to_json()
+        assert beyond.statistics == small.statistics
+        monkeypatch.setattr(kripke, "_MAX_ISO_WORLDS", 2)
+        with pytest.raises(ValueError, match="stop at 2 worlds, not 3"):
+            find_countermodel(parse("A p -> p"), FrameClass.K, 3)
 
     def test_monotone_bounds_and_witness_recheck_randomized(self):
         rng = random.Random(20260317)
@@ -450,6 +461,9 @@ class TestDistinguishingFormula:
 # Worker parallelism
 
 
+FOUR_PATTERNS = "<>(p & q) & <>(p & ~q) & <>(~p & q) & <>(~p & ~q)"
+
+
 class TestWorkers:
     def test_parallel_scan_matches_serial_on_a_valid_formula(self):
         f = parse("A q -> ([] p <-> D p & O(~q -> p))")
@@ -466,6 +480,24 @@ class TestWorkers:
         parallel = find_countermodel(f, FrameClass.K, 4, workers=2)
         assert serial.verdict == REFUTED
         assert serial.witness.model.frame.n == 4
+        assert serial.to_json() == parallel.to_json()
+
+    @pytest.mark.parametrize(
+        "search, text, c, verdict",
+        [
+            # the least model needs four successors, found inside a worker range
+            (sat_bounded, FOUR_PATTERNS, FrameClass.K, REFUTED),
+            (sat_bounded, "C p & ~<>p", FrameClass.K, HOLDS_AT_BOUND),
+            (defines_property, "A(p -> A p) -> p", FrameClass.B, HOLDS_AT_BOUND),
+            # fails on a four-world frame that has the (trivial) property
+            (defines_property, f"~({FOUR_PATTERNS})", FrameClass.K, REFUTED),
+        ],
+    )
+    def test_parallel_sat_and_definability_match_serial(self, search, text, c, verdict):
+        f = parse(text)
+        serial = search(f, c, 4, workers=1)
+        parallel = search(f, c, 4, workers=2)
+        assert serial.verdict == verdict
         assert serial.to_json() == parallel.to_json()
 
 

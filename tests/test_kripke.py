@@ -409,6 +409,11 @@ class TestEnumerateFrames:
         with pytest.raises(ValueError, match="at least one world"):
             next(enumerate_frames(0))
 
+    def test_isomorphism_pruning_stops_at_five_worlds(self):
+        # the orbit table at six worlds would need 2^36 bytes
+        with pytest.raises(ValueError, match="stop at 5 worlds, not 6"):
+            next(enumerate_frames(6, up_to_iso=True))
+
 
 # ---------------------------------------------------------------------------
 # Frame validity

@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from bimodal.kripke import FrameClass, enumerate_frames, frame_valid
+from bimodal.kripke import (
+    FrameClass,
+    Model,
+    PointedModel,
+    enumerate_frames,
+    evaluate,
+    frame_valid,
+    valuation_masks,
+)
 from bimodal.syntax import (
     TOP,
     And,
@@ -237,6 +245,41 @@ class TestEquivalentBounded:
                 right = evaluate(witness.model, witness.point, g)
                 assert left != right
         assert found > 50
+
+    def test_witness_is_the_first_disagreement(self):
+        # brute force over every labeled frame, valuation and world in
+        # (worlds, relation index, valuation index, world index) order
+        rng = random.Random(20261020)
+
+        def sample():
+            return random_formula(rng, rng.randint(1, 6), ("p", "q"), ann_depth=1)
+
+        # random pairs nearly always first disagree at one world only; these
+        # two first disagree at both worlds of a two-world model
+        pairs = [
+            (parse("A ~D p"), parse("D p <-> false")),
+            (parse("[]D(p <-> D p)"), parse("[!~(p <-> p)]~p")),
+        ] + [(sample(), sample()) for _ in range(60)]
+        found = 0
+        for f, g in pairs:
+            order = sorted(atoms(f) | atoms(g))
+            first = None
+            for fr in (fr for n in (1, 2) for fr in enumerate_frames(n)):
+                for v in range(1 << (len(order) * fr.n)):
+                    model = Model(fr, valuation_masks(v, order, fr.n))
+                    split = [
+                        w for w in fr.worlds if evaluate(model, w, f) != evaluate(model, w, g)
+                    ]
+                    if split:
+                        first = PointedModel(model, split[0])
+                        break
+                if first is not None:
+                    break
+            ok, witness = equivalent_bounded(f, g, max_worlds=2)
+            assert ok == (first is None)
+            assert witness == first
+            found += not ok
+        assert found > 20
 
     def test_respects_frame_class(self):
         # seriality separates these: with dead ends O p can hold vacuously
